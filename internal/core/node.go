@@ -105,7 +105,6 @@ type Node struct {
 	reachMu sync.RWMutex
 	reach   map[transport.NodeID]map[string]bool
 
-	stream   transport.Transport // optional
 	enc      encoding.Encoding
 	sched    scheduler.Scheduler
 	ownSched bool
@@ -119,8 +118,7 @@ type Node struct {
 	// (preserving per-source FIFO), shards decode and dispatch in
 	// parallel. shards holds the per-shard protocol state (dedup windows,
 	// reassembly, pending ack coalescing); local is the equivalent state
-	// for the synchronous paths that bypass the pipeline (self loopback,
-	// the stream transport).
+	// for the synchronous self-loopback path that bypasses the pipeline.
 	ingress *ingress.Pipeline
 	shards  []*recvShard
 	local   *recvShard
@@ -183,7 +181,6 @@ type bearerSpec struct {
 type nodeConfig struct {
 	bearers         []bearerSpec
 	policy          qos.LinkPolicy
-	stream          transport.Transport
 	enc             encoding.Encoding
 	sched           scheduler.Scheduler
 	announcePeriod  time.Duration
@@ -233,12 +230,6 @@ func WithBearer(name string, t transport.Transport, profile qos.BearerProfile) N
 // pins to the most robust one, interactive classes chase latency.
 func WithLinkPolicy(p qos.LinkPolicy) NodeOption {
 	return func(c *nodeConfig) { c.policy = p }
-}
-
-// WithStream sets the optional reliable stream transport (TCP). Without
-// one, ReliableStream sends fall back to the ARQ path.
-func WithStream(t transport.Transport) NodeOption {
-	return func(c *nodeConfig) { c.stream = t }
 }
 
 // WithEncoding overrides the default binary payload encoding.
@@ -403,7 +394,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		clk:             clk,
 		bearerByName:    make(map[string]*bearerRuntime, len(cfg.bearers)),
 		reach:           make(map[transport.NodeID]map[string]bool),
-		stream:          cfg.stream,
 		enc:             cfg.enc,
 		sched:           cfg.sched,
 		dir:             naming.NewDirectory(cfg.directoryTTL),
@@ -490,7 +480,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	// The sharded receive pipeline sits between the bearer transports and
 	// the dispatcher. Per-shard protocol state (dedup, reassembly, ack
 	// coalescing) is touched only by that shard's worker; the local shard
-	// serves the synchronous bypass paths (self loopback, stream).
+	// serves the synchronous self-loopback path.
 	n.ingress = ingress.New(ingress.Config{
 		Shards:  cfg.ingressShards,
 		Clock:   clk,
@@ -512,9 +502,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 			br.mon.SawRx(pkt.From, n.clk.Now())
 			n.ingress.Enqueue(br.name, pkt)
 		})
-	}
-	if n.stream != nil {
-		n.stream.SetHandler(n.handlePacket)
 	}
 	// Discovery rides every bearer: digests and deltas go out on each live
 	// link and receivers dedup the copies, so peer liveness survives any
@@ -624,7 +611,7 @@ func (n *Node) SendBestEffort(to transport.NodeID, f *protocol.Frame) error {
 		// pooled buffer transfers to egress.
 		return n.egress.EnqueueOwned(to, f.Priority, raw)
 	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu)
+	parts, err := protocol.Fragment(raw, f.Seq, n.mtu, nil)
 	bufpool.Put(raw) // fragments carry their own GC-owned copies
 	if err != nil {
 		return err
@@ -649,7 +636,7 @@ func (n *Node) SendGroup(group string, f *protocol.Frame) error {
 	if len(raw) <= n.mtu {
 		return n.egress.EnqueueGroupOwned(group, f.Priority, raw)
 	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu)
+	parts, err := protocol.Fragment(raw, f.Seq, n.mtu, nil)
 	bufpool.Put(raw)
 	if err != nil {
 		return err
@@ -662,14 +649,9 @@ func (n *Node) SendGroup(group string, f *protocol.Frame) error {
 	return nil
 }
 
-// SendReliable implements fabric.Fabric with engine-default ARQ tuning.
-func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, done func(error)) {
-	n.SendReliableTuned(to, f, rel, fabric.ReliableOpts{}, done)
-}
-
-// SendReliableTuned implements fabric.TunedSender: SendReliable with
-// per-send ARQ timeout/retry overrides carried from the primitive's QoS.
-func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, opts fabric.ReliableOpts, done func(error)) {
+// SendReliable implements fabric.Fabric: ARQ over the datagram transport,
+// with per-send timeout/retry overrides carried from the primitive's QoS.
+func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, opts fabric.ReliableOpts, done func(error)) {
 	tune := protocol.SendTuning{Timeout: opts.AckTimeout, MaxRetries: opts.MaxRetries}
 	finish := func(err error) {
 		if done != nil {
@@ -693,56 +675,38 @@ func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos
 		finish(nil)
 		return
 	}
-	if rel == qos.ReliableStream && n.stream != nil {
-		raw, err := protocol.EncodeFrame(f)
-		if err != nil {
-			finish(err)
-			return
-		}
-		finish(n.stream.Send(to, raw))
-		return
-	}
-	// ARQ over the datagram transport.
 	f.Flags |= protocol.FlagAckRequired
 	raw, err := protocol.EncodeFrame(f)
 	if err != nil {
 		finish(err)
 		return
 	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu)
-	if err != nil {
-		finish(err)
-		return
-	}
-	if len(parts) == 1 {
-		if err := n.arq.SendTuned(to, f.Seq, parts[0], tune, done); err != nil {
+	if len(raw) <= n.mtu {
+		if err := n.arq.SendTuned(to, f.Seq, raw, tune, done); err != nil {
 			finish(err)
 		}
 		return
 	}
-	// Multi-fragment reliable send: each fragment is acknowledged
-	// independently; the message completes when all fragments do.
+	// Multi-fragment reliable send: each fragment is its own ARQ message,
+	// stamped by Fragment with a fresh seq; the message completes when
+	// all fragments are acknowledged.
+	var seqs []uint64
+	parts, err := protocol.Fragment(raw, f.Seq, n.mtu, func() uint64 {
+		seq := n.NextSeq()
+		seqs = append(seqs, seq)
+		return seq
+	})
+	if err != nil {
+		finish(err)
+		return
+	}
 	var (
 		remaining atomic.Int64
 		failed    atomic.Bool
 	)
 	remaining.Store(int64(len(parts)))
-	for _, part := range parts {
-		fragFrame, derr := protocol.DecodeFrame(part)
-		if derr != nil {
-			finish(derr)
-			return
-		}
-		fragSeq := n.NextSeq()
-		// Re-encode with a unique per-fragment seq and ack flag.
-		fragFrame.Seq = fragSeq
-		fragFrame.Flags |= protocol.FlagAckRequired
-		fragRaw, eerr := protocol.EncodeFrame(fragFrame)
-		if eerr != nil {
-			finish(eerr)
-			return
-		}
-		if err := n.arq.SendTuned(to, fragSeq, fragRaw, tune, func(err error) {
+	for i, part := range parts {
+		if err := n.arq.SendTuned(to, seqs[i], part, tune, func(err error) {
 			if err != nil {
 				if !failed.Swap(true) {
 					finish(err)
@@ -763,7 +727,6 @@ func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos
 
 var (
 	_ fabric.Fabric       = (*Node)(nil)
-	_ fabric.TunedSender  = (*Node)(nil)
 	_ fabric.Instrumented = (*Node)(nil)
 )
 
@@ -823,15 +786,9 @@ func (n *Node) deliverBatch(shard int, batch []ingress.Packet) {
 	n.flushAcks(sh)
 }
 
-// handlePacket is the stream transport's receive entry point (bearer-less).
-func (n *Node) handlePacket(pkt transport.Packet) {
-	n.handleFrameBytes(pkt.From, pkt.Payload)
-}
-
 // handleFrameBytes decodes and routes one frame with no bearer attribution
-// (local bypass, stream transport), synchronously on the caller's
-// goroutine — these paths never enter the pipeline and use the dedicated
-// local shard state.
+// (local bypass), synchronously on the caller's goroutine — this path
+// never enters the pipeline and uses the dedicated local shard state.
 func (n *Node) handleFrameBytes(from transport.NodeID, raw []byte) {
 	n.handleFrameOn(n.local, "", from, raw, 0)
 }
@@ -1507,7 +1464,7 @@ func (n *Node) handleSyncReq(from transport.NodeID, f *protocol.Frame) {
 				Seq:      n.NextSeq(),
 				Payload:  payload,
 			}
-			n.SendReliable(from, frame, qos.ReliableARQ, func(err error) {
+			n.SendReliable(from, frame, fabric.ReliableOpts{}, func(err error) {
 				uerr.Note(n.metrics, codeSyncRepSend, err, "deliver catch-up delta")
 			})
 			n.disco.syncReqsServed.Inc()
@@ -1542,7 +1499,7 @@ func (n *Node) handleSyncReq(from transport.NodeID, f *protocol.Frame) {
 			Seq:      n.NextSeq(),
 			Payload:  chunk,
 		}
-		n.SendReliable(from, frame, qos.ReliableARQ, func(err error) {
+		n.SendReliable(from, frame, fabric.ReliableOpts{}, func(err error) {
 			uerr.Note(n.metrics, codeSyncRepSend, err, "deliver sync chunk")
 			if outstanding.Add(-1) == 0 {
 				n.syncServing.Add(-1)
@@ -2032,11 +1989,6 @@ func (n *Node) Close() error {
 	for _, br := range n.bearers {
 		if cerr := br.tr.Close(); err == nil {
 			err = cerr
-		}
-	}
-	if n.stream != nil {
-		if serr := n.stream.Close(); err == nil {
-			err = serr
 		}
 	}
 	return err

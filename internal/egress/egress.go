@@ -32,7 +32,7 @@
 // single default bearer and behaves exactly like the pre-bearer plane.
 //
 // The plane sits between the container's Send* methods and the datagram
-// transports; the stream transport (TCP) paces itself and bypasses it.
+// transports.
 package egress
 
 import (

@@ -7,9 +7,9 @@
 // Two delivery modes exist, selected by qos.EventQoS.Delivery:
 //
 //   - Unicast (default): the paper's baseline mapping. Each occurrence is
-//     sent once per subscriber over TCP or over UDP with application-level
-//     acknowledgment and retransmission; Publish blocks until every
-//     subscriber acknowledges.
+//     sent once per subscriber over the datagram transport with
+//     application-level acknowledgment and retransmission (§4.2);
+//     Publish blocks until every subscriber acknowledges.
 //   - Multicast: one group-addressed frame per occurrence regardless of
 //     audience size (§4.1: "one packet sent can arrive to multiple
 //     nodes"). Occurrences carry a per-topic sequence number; subscribers
@@ -354,7 +354,7 @@ func (p *Publisher) publishUnicast(ctx context.Context, seq uint64, body []byte,
 		frame.Seq = p.engine.f.NextSeq()
 		frame.Payload = payload
 		node := node
-		p.sendEvent(node, frame, p.q.Reliability, func(err error) {
+		p.sendEvent(node, frame, func(err error) {
 			results <- outcome{node: node, err: err}
 		})
 		putFrame(frame)
@@ -441,23 +441,19 @@ func (p *Publisher) repairFor(node transport.NodeID, seqs []uint64) {
 			Seq:      p.engine.f.NextSeq(),
 			Payload:  protocol.EncodeEventPayload(p.id, rep.seq, rep.body, nil),
 		}
-		p.sendEvent(node, frame, qos.ReliableARQ, nil)
+		p.sendEvent(node, frame, nil)
 	}
 }
 
 // sendEvent transmits one event frame with the topic's per-send ARQ
-// tuning (qos.EventQoS.AckTimeout / MaxRetries) when the fabric supports
-// it — a topic routed onto a high-latency bearer needs a longer
+// tuning (qos.EventQoS.AckTimeout / MaxRetries; zero takes the engine
+// default) — a topic routed onto a high-latency bearer needs a longer
 // retransmission fuse than the engine default, or queueing jitter spawns
-// duplicates. Fabrics without per-send tuning get the plain reliable path.
-func (p *Publisher) sendEvent(node transport.NodeID, frame *protocol.Frame, rel qos.Reliability, done func(error)) {
-	if ts, ok := p.engine.f.(fabric.TunedSender); ok && (p.q.AckTimeout > 0 || p.q.MaxRetries > 0) {
-		ts.SendReliableTuned(node, frame, rel, fabric.ReliableOpts{
-			AckTimeout: p.q.AckTimeout, MaxRetries: p.q.MaxRetries,
-		}, done)
-		return
-	}
-	p.engine.f.SendReliable(node, frame, rel, done)
+// duplicates.
+func (p *Publisher) sendEvent(node transport.NodeID, frame *protocol.Frame, done func(error)) {
+	p.engine.f.SendReliable(node, frame, fabric.ReliableOpts{
+		AckTimeout: p.q.AckTimeout, MaxRetries: p.q.MaxRetries,
+	}, done)
 }
 
 func (p *Publisher) dropSubscriber(node transport.NodeID) {
@@ -595,7 +591,7 @@ func (s *Subscription) register() {
 		Channel:  s.topic,
 		Seq:      e.f.NextSeq(),
 	}
-	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, nil)
+	e.f.SendReliable(rec.Node, frame, fabric.ReliableOpts{}, nil)
 }
 
 // Refresh re-registers every remote subscription; the container calls it on
@@ -690,7 +686,7 @@ func (s *Subscription) Close() {
 			Channel:  s.topic,
 			Seq:      e.f.NextSeq(),
 		}
-		e.f.SendReliable(provider, frame, qos.ReliableARQ, nil)
+		e.f.SendReliable(provider, frame, fabric.ReliableOpts{}, nil)
 	}
 }
 
@@ -869,7 +865,6 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 		disposition = frameFresh
 		gap         uint64
 		nackable    []uint64
-		wantRepair  bool
 	)
 	if len(subs) > 0 && topicSeq != 0 && from != e.f.Self() {
 		byNode := sh.trackers[fr.Channel]
@@ -882,17 +877,11 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 			tr = &seqTracker{}
 			byNode[from] = tr
 		}
+		// Gaps are NACKed whenever a subscription exists; a unicast
+		// publisher without a replay buffer ignores the NACK (its own
+		// ARQ retries close the gap), so this is safe in either
+		// delivery mode.
 		disposition, gap, nackable = tr.observe(pubID, topicSeq)
-		// NACK gaps whenever an ARQ-reliable subscription exists; a
-		// unicast publisher without a replay buffer ignores the NACK
-		// (its own ARQ retries close the gap), so this is safe in
-		// either delivery mode.
-		for _, s := range subs {
-			if s.q.Reliability == qos.ReliableARQ {
-				wantRepair = true
-				break
-			}
-		}
 	}
 	sh.mu.Unlock()
 	if len(subs) == 0 || disposition == frameDuplicate {
@@ -903,7 +892,7 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 		for _, s := range subs {
 			s.noteGaps(gap)
 		}
-		if wantRepair && len(nackable) > 0 {
+		if len(nackable) > 0 {
 			e.sendNack(from, fr.Channel, nackable)
 		}
 	}
@@ -944,7 +933,7 @@ func (e *Engine) sendNack(to transport.NodeID, topic string, missing []uint64) {
 		Seq:      e.f.NextSeq(),
 		Payload:  payload,
 	}
-	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)
+	e.f.SendReliable(to, frame, fabric.ReliableOpts{}, nil)
 }
 
 // PeerGone drops a failed node from every publisher's subscriber set and

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -80,7 +81,7 @@ func (f *fakeFabric) Leave(group string) error {
 	return nil
 }
 
-func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
+func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ fabric.ReliableOpts, done func(error)) {
 	// Fabric contract: the frame may be pooled by the caller after the
 	// call returns, so retain a copy, not the original.
 	cp := *fr
@@ -118,8 +119,8 @@ func TestOfferValidation(t *testing.T) {
 	if _, err := e.Offer("t", "svc", presentation.StructOf(), qos.EventQoS{}); err == nil {
 		t.Error("invalid type accepted")
 	}
-	if _, err := e.Offer("t", "svc", nil, qos.EventQoS{Reliability: qos.BestEffort}); err == nil {
-		t.Error("best-effort events accepted")
+	if _, err := e.Offer("t", "svc", nil, qos.EventQoS{AckTimeout: -time.Millisecond}); err == nil {
+		t.Error("negative ack timeout accepted")
 	}
 	if _, err := e.Offer("t", "svc", alertType, qos.EventQoS{}); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ var mcastQoS = qos.EventQoS{Delivery: qos.DeliverMulticast}
 func TestMulticastQoSValidation(t *testing.T) {
 	e := New(newFakeFabric("n"))
 	if _, err := e.Offer("t", "svc", alertType,
-		qos.EventQoS{Delivery: qos.DeliverMulticast, Reliability: qos.ReliableStream}); err == nil {
-		t.Error("multicast over stream accepted")
+		qos.EventQoS{Delivery: qos.Delivery(99)}); err == nil {
+		t.Error("out-of-range delivery mode accepted")
 	}
 	if _, err := e.Offer("t", "svc", alertType, mcastQoS); err != nil {
 		t.Fatal(err)
@@ -393,11 +393,11 @@ type stallFabric struct {
 	*fakeFabric
 }
 
-func (f *stallFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, rel qos.Reliability, done func(error)) {
+func (f *stallFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, opts fabric.ReliableOpts, done func(error)) {
 	if to == "slow" {
 		return // outcome never arrives
 	}
-	f.fakeFabric.SendReliable(to, fr, rel, done)
+	f.fakeFabric.SendReliable(to, fr, opts, done)
 }
 
 func TestPublishCancellationAccountsDrainedOutcomes(t *testing.T) {

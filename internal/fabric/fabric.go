@@ -71,15 +71,18 @@ type Fabric interface {
 	SendBestEffort(to transport.NodeID, f *protocol.Frame) error
 	// SendGroup multicasts one unacknowledged frame (§4.1, §4.4).
 	SendGroup(group string, f *protocol.Frame) error
-	// SendReliable delivers one frame with the given reliability class:
-	// ReliableARQ uses the datagram transport plus the protocol-level
-	// ack/retransmit engine; ReliableStream uses the stream transport
-	// when the node has one (§4.2, §4.3). done is invoked exactly once
-	// with the outcome; it may run on a timer goroutine, and the sender
+	// SendReliable delivers one frame over the datagram transport plus
+	// the protocol-level ack/retransmit engine — the "UDP plus
+	// retransmission at the middleware level" mapping of §4.2 and §4.3,
+	// the only reliable mapping the middleware has. opts tunes this
+	// send's retransmission; zero fields take the engine defaults. A
+	// frame larger than the MTU is fragmented and each fragment is
+	// acknowledged independently. done is invoked exactly once with the
+	// outcome; it may run on a timer goroutine, and the sender
 	// may have abandoned the exchange by then (a hedged RPC caller that
 	// already took another provider's answer), so done must not assume a
 	// waiting receiver.
-	SendReliable(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, done func(error))
+	SendReliable(to transport.NodeID, f *protocol.Frame, opts ReliableOpts, done func(error))
 	// Join subscribes the node to a multicast group.
 	Join(group string) error
 	// Leave unsubscribes the node from a multicast group.
@@ -103,14 +106,6 @@ type ReliableOpts struct {
 	AckTimeout time.Duration
 	// MaxRetries is the retransmission budget before the send fails.
 	MaxRetries int
-}
-
-// TunedSender is optionally implemented by fabrics whose ReliableARQ path
-// accepts per-send tuning. Engines should feature-test for it and fall
-// back to SendReliable (engine-default tuning) when absent, so
-// instrumented test fabrics keep working unchanged.
-type TunedSender interface {
-	SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, opts ReliableOpts, done func(error))
 }
 
 // Clocked is optionally implemented by fabrics that run on an injectable

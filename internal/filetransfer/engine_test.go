@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric"
 	"uavmw/internal/naming"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -71,7 +72,7 @@ func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
 	return nil
 }
 
-func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
+func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ fabric.ReliableOpts, done func(error)) {
 	f.mu.Lock()
 	f.reliable = append(f.reliable, fr)
 	f.mu.Unlock()

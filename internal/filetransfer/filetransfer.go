@@ -641,7 +641,7 @@ func (e *Engine) subscribeToProvider(ctx context.Context, st *fetchState) error 
 				Channel:  st.name,
 				Seq:      e.f.NextSeq(),
 			}
-			e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, nil)
+			e.f.SendReliable(rec.Node, frame, fabric.ReliableOpts{}, nil)
 			return nil
 		}
 		if !clock.SleepStop(e.clk, 10*time.Millisecond, ctx.Done()) {
@@ -859,7 +859,7 @@ func (e *Engine) sendAck(to transport.NodeID, name string, revision uint64) {
 		Seq:      e.f.NextSeq(),
 		Payload:  encodeAck(revision),
 	}
-	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)
+	e.f.SendReliable(to, frame, fabric.ReliableOpts{}, nil)
 }
 
 // HandleQuery answers a completion-phase query with ACK or NACK.
@@ -903,7 +903,7 @@ func (e *Engine) HandleQuery(from transport.NodeID, fr *protocol.Frame) {
 		Seq:      e.f.NextSeq(),
 		Payload:  w.Bytes(),
 	}
-	e.f.SendReliable(from, frame, qos.ReliableARQ, nil)
+	e.f.SendReliable(from, frame, fabric.ReliableOpts{}, nil)
 }
 
 // HandleAck processes a receiver's completion at the publisher.

@@ -34,7 +34,13 @@ const maxFragments = 1 << 14
 // Fragment splits an encoded frame into MTFragment frames of at most mtu
 // payload bytes each. Frames already within the MTU are returned unchanged
 // as a single element.
-func Fragment(raw []byte, msgID uint64, mtu int) ([][]byte, error) {
+//
+// With a nil ackSeq every fragment header carries msgID as its Seq and no
+// flags (a datagram send). A reliable send passes its sequence allocator
+// instead: each fragment becomes its own ARQ message, its header stamped
+// with a fresh ackSeq() and FlagAckRequired, and ackSeq is called once per
+// fragment in order.
+func Fragment(raw []byte, msgID uint64, mtu int, ackSeq func() uint64) ([][]byte, error) {
 	if mtu <= 0 {
 		mtu = DefaultMTU
 	}
@@ -48,7 +54,10 @@ func Fragment(raw []byte, msgID uint64, mtu int) ([][]byte, error) {
 	// Fragments inherit the original frame's priority so they drain from
 	// the same egress lane and the ARQ resend path (which lanes by the
 	// encoded header) cannot promote bulk to normal or demote critical.
-	pr := PeekPriority(raw)
+	hdr := Frame{Type: MTFragment, Priority: PeekPriority(raw), Seq: msgID}
+	if ackSeq != nil {
+		hdr.Flags = FlagAckRequired
+	}
 	out := make([][]byte, 0, total)
 	for i := 0; i < total; i++ {
 		start := i * mtu
@@ -58,7 +67,10 @@ func Fragment(raw []byte, msgID uint64, mtu int) ([][]byte, error) {
 		// header and chunk are appended directly in wire position.
 		//wirepath:alloc fragments are retained by ARQ/egress, so they are GC-owned
 		frame := make([]byte, 0, frameHeaderLen+fragHeaderLen+(end-start))
-		frame, err := AppendFrame(frame, &Frame{Type: MTFragment, Priority: pr, Seq: msgID})
+		if ackSeq != nil {
+			hdr.Seq = ackSeq()
+		}
+		frame, err := AppendFrame(frame, &hdr)
 		if err != nil {
 			return nil, err
 		}

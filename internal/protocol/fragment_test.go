@@ -11,7 +11,7 @@ import (
 
 func TestFragmentPassthroughUnderMTU(t *testing.T) {
 	raw := []byte("small frame")
-	frags, err := Fragment(raw, 1, 1400)
+	frags, err := Fragment(raw, 1, 1400, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 	for _, size := range []int{1401, 2800, 5000, 100_000} {
 		raw := make([]byte, size)
 		r.Read(raw)
-		frags, err := Fragment(raw, 42, 1400)
+		frags, err := Fragment(raw, 42, 1400, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 	raw := make([]byte, 10_000)
 	rand.New(rand.NewSource(8)).Read(raw)
-	frags, err := Fragment(raw, 7, 1400)
+	frags, err := Fragment(raw, 7, 1400, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 
 func TestFragmentSenderIsolation(t *testing.T) {
 	raw := make([]byte, 3000)
-	frags, _ := Fragment(raw, 5, 1400)
+	frags, _ := Fragment(raw, 5, 1400, nil)
 	ra := NewReassembler(0, nil)
 	// Same msgID from two senders must not cross-pollinate.
 	f0, _ := DecodeFrame(frags[0])
@@ -122,7 +122,7 @@ func TestFragmentSenderIsolation(t *testing.T) {
 
 func TestFragmentTTLExpiry(t *testing.T) {
 	raw := make([]byte, 3000)
-	frags, _ := Fragment(raw, 11, 1400)
+	frags, _ := Fragment(raw, 11, 1400, nil)
 	ra := NewReassembler(10*time.Millisecond, nil)
 	f0, _ := DecodeFrame(frags[0])
 	if _, err := ra.Offer("a", f0); err != nil {
@@ -133,7 +133,7 @@ func TestFragmentTTLExpiry(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	// Any new offer triggers expiry sweep.
-	other, _ := Fragment(make([]byte, 2000), 12, 1400)
+	other, _ := Fragment(make([]byte, 2000), 12, 1400, nil)
 	fo, _ := DecodeFrame(other[0])
 	if _, err := ra.Offer("b", fo); err != nil {
 		t.Fatal(err)
@@ -177,14 +177,14 @@ func fragHeader(msgID uint64, index, total uint16) []byte {
 
 func TestFragmentTooManyFragments(t *testing.T) {
 	raw := make([]byte, maxFragments*2+10)
-	if _, err := Fragment(raw, 1, 1); err == nil {
+	if _, err := Fragment(raw, 1, 1, nil); err == nil {
 		t.Error("fragment count beyond cap must fail")
 	}
 }
 
 func TestFragmentMTUDefault(t *testing.T) {
 	raw := make([]byte, DefaultMTU+1)
-	frags, err := Fragment(raw, 1, 0)
+	frags, err := Fragment(raw, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFragmentsInheritPriority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := Fragment(raw, 7, 1400)
+		parts, err := Fragment(raw, 7, 1400, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,5 +228,55 @@ func TestFragmentsInheritPriority(t *testing.T) {
 				t.Fatalf("PeekPriority(fragment %d) = %v, want %v", i, got, pr)
 			}
 		}
+	}
+}
+
+// TestFragmentAckSeqMatchesReencode pins the reliable fragment form:
+// stamping the per-fragment seq and FlagAckRequired inside Fragment must
+// produce exactly the bytes of the datagram fragments decoded, re-stamped
+// and re-encoded one by one.
+func TestFragmentAckSeqMatchesReencode(t *testing.T) {
+	raw, err := EncodeFrame(&Frame{
+		Type: MTCall, Flags: FlagAckRequired, Priority: qos.PriorityHigh,
+		Channel: "nav.plan", Seq: 40, Payload: bytes.Repeat([]byte{0xA5}, 3000),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Fragment(raw, 40, 1400, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) != 3 {
+		t.Fatalf("got %d fragments, want 3", len(plain))
+	}
+	want := make([][]byte, len(plain))
+	for i, part := range plain {
+		f, err := DecodeFrame(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Seq = uint64(100 + i)
+		f.Flags |= FlagAckRequired
+		if want[i], err = EncodeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	next := uint64(100)
+	got, err := Fragment(raw, 40, 1400, func() uint64 { next++; return next - 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d fragments, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("fragment %d differs from the decode/re-encode form", i)
+		}
+	}
+	if next != 103 {
+		t.Errorf("ackSeq called %d times, want 3", next-100)
 	}
 }

@@ -3,10 +3,12 @@
 //
 // The paper (§4) attaches QoS to each primitive: variables carry a validity
 // (how long a sample may be served after it was produced) and a publication
-// rate; events carry a latency-oriented priority and a reliability class
-// (TCP-like transport or UDP with application-level retransmission); remote
-// invocations carry deadlines and binding policies. This package holds only
-// the policy types; enforcement lives in each primitive's engine.
+// rate; events carry a latency-oriented priority and retransmission tuning;
+// remote invocations carry deadlines and binding policies. Events and calls
+// share one reliable mapping, UDP plus application-level retransmission
+// (§4.2, §4.3), so no policy selects a reliability class. This package
+// holds only the policy types; enforcement lives in each primitive's
+// engine.
 package qos
 
 import (
@@ -70,40 +72,6 @@ func (p Priority) Index() int {
 	}
 	return int(p - PriorityBulk)
 }
-
-// Reliability selects how a primitive's messages reach subscribers.
-type Reliability uint8
-
-const (
-	// BestEffort sends once with no acknowledgment; receivers tolerate
-	// loss. Variables default to this (§4.1).
-	BestEffort Reliability = iota + 1
-	// ReliableARQ sends over an unreliable transport with application-level
-	// acknowledgment and retransmission, the scheme §4.2 argues is "more
-	// efficient for event messages than the generic case provided by the
-	// TCP stack".
-	ReliableARQ
-	// ReliableStream maps the primitive onto an inherently reliable,
-	// ordered transport (TCP).
-	ReliableStream
-)
-
-// String implements fmt.Stringer.
-func (r Reliability) String() string {
-	switch r {
-	case BestEffort:
-		return "best-effort"
-	case ReliableARQ:
-		return "reliable-arq"
-	case ReliableStream:
-		return "reliable-stream"
-	default:
-		return fmt.Sprintf("reliability(%d)", uint8(r))
-	}
-}
-
-// Valid reports whether r is one of the defined classes.
-func (r Reliability) Valid() bool { return r >= BestEffort && r <= ReliableStream }
 
 // Delivery selects how an event publisher fans an occurrence out to its
 // remote subscribers.
@@ -224,31 +192,27 @@ func (q VariableQoS) Validate() error {
 	return nil
 }
 
-// EventQoS is the contract for the event primitive (§4.2).
+// EventQoS is the contract for the event primitive (§4.2). Events
+// "guarantee the reception of the sent information to all the subscribed
+// services", so every occurrence rides the ARQ mapping; the policy tunes
+// that retransmission, it cannot turn it off.
 type EventQoS struct {
-	// Reliability chooses ReliableARQ (default) or ReliableStream.
-	// BestEffort is rejected: events "guarantee the reception of the sent
-	// information to all the subscribed services".
-	Reliability Reliability
 	// Priority defaults to PriorityHigh; events are latency-sensitive.
 	Priority Priority
-	// AckTimeout is the initial retransmission timeout for ReliableARQ.
-	// Zero defaults to the protocol engine's default.
+	// AckTimeout is the initial retransmission timeout. Zero defaults to
+	// the protocol engine's default.
 	AckTimeout time.Duration
 	// MaxRetries bounds ARQ retransmissions before the publisher declares
 	// a subscriber unreachable. Zero defaults to the engine's default.
 	MaxRetries int
 	// Delivery chooses unicast fan-out (default) or group-addressed
-	// multicast with NACK-based gap repair. Multicast requires
-	// ReliableARQ: repairs reuse the datagram ARQ machinery.
+	// multicast with NACK-based gap repair; repairs reuse the datagram
+	// ARQ machinery.
 	Delivery Delivery
 }
 
 // Normalize fills defaulted fields, returning the effective policy.
 func (q EventQoS) Normalize() EventQoS {
-	if q.Reliability == 0 {
-		q.Reliability = ReliableARQ
-	}
 	if !q.Priority.Valid() {
 		q.Priority = PriorityHigh
 	}
@@ -260,12 +224,6 @@ func (q EventQoS) Normalize() EventQoS {
 
 // Validate reports whether the policy is usable for events.
 func (q EventQoS) Validate() error {
-	if q.Reliability == BestEffort {
-		return fmt.Errorf("qos: events require guaranteed delivery: %w", ErrInvalidPolicy)
-	}
-	if q.Reliability != 0 && !q.Reliability.Valid() {
-		return fmt.Errorf("qos: reliability %d out of range: %w", q.Reliability, ErrInvalidPolicy)
-	}
 	if q.AckTimeout < 0 {
 		return fmt.Errorf("qos: negative ack timeout %v: %w", q.AckTimeout, ErrInvalidPolicy)
 	}
@@ -275,13 +233,12 @@ func (q EventQoS) Validate() error {
 	if q.Delivery != 0 && !q.Delivery.Valid() {
 		return fmt.Errorf("qos: delivery %d out of range: %w", q.Delivery, ErrInvalidPolicy)
 	}
-	if q.Delivery == DeliverMulticast && q.Reliability == ReliableStream {
-		return fmt.Errorf("qos: multicast delivery cannot ride a stream transport: %w", ErrInvalidPolicy)
-	}
 	return nil
 }
 
-// CallQoS is the contract for remote invocation (§4.3).
+// CallQoS is the contract for remote invocation (§4.3). Requests and
+// replies ride the ARQ mapping — "UDP plus retransmission at the
+// middleware level" — unicast only, with engine-default tuning.
 type CallQoS struct {
 	// Deadline bounds the whole invocation including failover retries.
 	// Zero defaults to the engine default.
@@ -302,10 +259,6 @@ type CallQoS struct {
 	HedgeAfter float64
 	// Priority defaults to PriorityNormal.
 	Priority Priority
-	// Reliability: ReliableStream (default) or ReliableARQ. §4.3:
-	// "generally mapped ... over TCP, but UDP plus retransmission at the
-	// middleware level can also be used". Never multicast.
-	Reliability Reliability
 }
 
 // Normalize fills defaulted fields, returning the effective policy.
@@ -315,9 +268,6 @@ func (q CallQoS) Normalize() CallQoS {
 	}
 	if !q.Priority.Valid() {
 		q.Priority = PriorityNormal
-	}
-	if q.Reliability == 0 {
-		q.Reliability = ReliableStream
 	}
 	return q
 }
@@ -332,9 +282,6 @@ func (q CallQoS) Validate() error {
 	}
 	if q.HedgeAfter < 0 || q.HedgeAfter >= 1 {
 		return fmt.Errorf("qos: hedge fraction %v outside [0,1): %w", q.HedgeAfter, ErrInvalidPolicy)
-	}
-	if q.Reliability == BestEffort {
-		return fmt.Errorf("qos: calls require a reliable mapping: %w", ErrInvalidPolicy)
 	}
 	return nil
 }

@@ -66,23 +66,6 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-func TestReliabilityString(t *testing.T) {
-	tests := []struct {
-		r    Reliability
-		want string
-	}{
-		{BestEffort, "best-effort"},
-		{ReliableARQ, "reliable-arq"},
-		{ReliableStream, "reliable-stream"},
-		{Reliability(0), "reliability(0)"},
-	}
-	for _, tt := range tests {
-		if got := tt.r.String(); got != tt.want {
-			t.Errorf("Reliability(%d).String() = %q, want %q", tt.r, got, tt.want)
-		}
-	}
-}
-
 func TestVariableQoSSilenceDeadline(t *testing.T) {
 	tests := []struct {
 		name string
@@ -144,9 +127,6 @@ func TestVariableQoSValidate(t *testing.T) {
 
 func TestEventQoSNormalize(t *testing.T) {
 	q := EventQoS{}.Normalize()
-	if q.Reliability != ReliableARQ {
-		t.Errorf("default event reliability = %v, want %v", q.Reliability, ReliableARQ)
-	}
 	if q.Priority != PriorityHigh {
 		t.Errorf("default event priority = %v, want %v", q.Priority, PriorityHigh)
 	}
@@ -159,9 +139,7 @@ func TestEventQoSValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"zero ok", EventQoS{}, false},
-		{"arq ok", EventQoS{Reliability: ReliableARQ, AckTimeout: 10 * time.Millisecond, MaxRetries: 4}, false},
-		{"stream ok", EventQoS{Reliability: ReliableStream}, false},
-		{"best effort rejected", EventQoS{Reliability: BestEffort}, true},
+		{"arq ok", EventQoS{AckTimeout: 10 * time.Millisecond, MaxRetries: 4}, false},
 		{"negative timeout", EventQoS{AckTimeout: -1}, true},
 		{"negative retries", EventQoS{MaxRetries: -1}, true},
 	}
@@ -180,9 +158,6 @@ func TestCallQoSNormalize(t *testing.T) {
 	if q.Binding != BindDynamic {
 		t.Errorf("default binding = %v, want %v", q.Binding, BindDynamic)
 	}
-	if q.Reliability != ReliableStream {
-		t.Errorf("default call reliability = %v, want %v", q.Reliability, ReliableStream)
-	}
 	if q.Priority != PriorityNormal {
 		t.Errorf("default call priority = %v, want %v", q.Priority, PriorityNormal)
 	}
@@ -198,7 +173,6 @@ func TestCallQoSValidate(t *testing.T) {
 		{"static ok", CallQoS{Binding: BindStatic, Deadline: time.Second}, false},
 		{"negative deadline", CallQoS{Deadline: -time.Second}, true},
 		{"negative retries", CallQoS{Retries: -3}, true},
-		{"best effort rejected", CallQoS{Reliability: BestEffort}, true},
 		{"hedge fraction ok", CallQoS{HedgeAfter: 0.25}, false},
 		{"negative hedge", CallQoS{HedgeAfter: -0.1}, true},
 		{"hedge at whole deadline", CallQoS{HedgeAfter: 1}, true},
@@ -244,12 +218,11 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}, nil); err != nil {
 		t.Errorf("VariableQoS.Normalize not idempotent: %v", err)
 	}
-	if err := quick.Check(func(rel, prio uint8, timeout int64, retries int) bool {
+	if err := quick.Check(func(prio uint8, timeout int64, retries int) bool {
 		q := EventQoS{
-			Reliability: Reliability(rel),
-			Priority:    Priority(prio),
-			AckTimeout:  time.Duration(timeout),
-			MaxRetries:  retries,
+			Priority:   Priority(prio),
+			AckTimeout: time.Duration(timeout),
+			MaxRetries: retries,
 		}
 		once := q.Normalize()
 		return once == once.Normalize()

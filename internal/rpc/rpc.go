@@ -754,7 +754,7 @@ func (e *Engine) callRemote(ctx context.Context, provider transport.NodeID, name
 		Budget:   budget,
 		Payload:  payload,
 	}
-	e.f.SendReliable(provider, frame, q.Reliability, func(err error) {
+	e.f.SendReliable(provider, frame, fabric.ReliableOpts{}, func(err error) {
 		if err != nil {
 			pc.complete(callResult{sendErr: err})
 		}
@@ -890,7 +890,7 @@ func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, enc uint8, 
 		Channel:  ch,
 		Payload:  buf,
 	}
-	e.f.SendReliable(to, reply, qos.ReliableARQ, nil)
+	e.f.SendReliable(to, reply, fabric.ReliableOpts{}, nil)
 	protocol.PutFrame(reply)
 	bufpool.Put(buf)
 }
@@ -916,7 +916,7 @@ func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priori
 		Channel:  ch,
 		Payload:  buf,
 	}
-	e.f.SendReliable(to, reply, qos.ReliableARQ, nil)
+	e.f.SendReliable(to, reply, fabric.ReliableOpts{}, nil)
 	protocol.PutFrame(reply)
 	bufpool.Put(buf)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -57,7 +58,7 @@ func (f *fakeFabric) SendGroup(string, *protocol.Frame) error                { r
 func (f *fakeFabric) Join(string) error                                      { return nil }
 func (f *fakeFabric) Leave(string) error                                     { return nil }
 
-func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
+func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ fabric.ReliableOpts, done func(error)) {
 	f.mu.Lock()
 	rec := *fr
 	rec.Payload = append([]byte(nil), fr.Payload...)

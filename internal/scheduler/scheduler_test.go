@@ -149,7 +149,9 @@ func TestPoolQueueFull(t *testing.T) {
 }
 
 func TestPoolStop(t *testing.T) {
-	p := NewPool(WithWorkers(2))
+	// One worker, so the second job really queues behind the blocker; a
+	// second worker would pick it up before Stop.
+	p := NewPool(WithWorkers(1))
 	var ran atomic.Bool
 	release := make(chan struct{})
 	started := make(chan struct{})

@@ -403,7 +403,7 @@ func (s *Subscription) requestInitial() error {
 	// The reply arrives asynchronously via handleSnapshotRep; here we wait
 	// for either a value or the timeout.
 	done := make(chan error, 1)
-	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, func(err error) {
+	e.f.SendReliable(rec.Node, frame, fabric.ReliableOpts{}, func(err error) {
 		if err != nil {
 			done <- err
 		} else {
@@ -689,7 +689,7 @@ func (e *Engine) HandleSnapshotReq(from transport.NodeID, fr *protocol.Frame) {
 		Seq:      e.f.NextSeq(),
 		Payload:  payload,
 	}
-	e.f.SendReliable(from, reply, qos.ReliableARQ, nil)
+	e.f.SendReliable(from, reply, fabric.ReliableOpts{}, nil)
 }
 
 // HandleSnapshotRep installs a snapshot reply into waiting subscriptions.

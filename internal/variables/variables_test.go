@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -67,7 +68,7 @@ func copyFrame(fr *protocol.Frame) *protocol.Frame {
 	return &cp
 }
 
-func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
+func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ fabric.ReliableOpts, done func(error)) {
 	f.mu.Lock()
 	f.reliable = append(f.reliable, copyFrame(fr))
 	f.mu.Unlock()
