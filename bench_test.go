@@ -1,12 +1,13 @@
 package uavmw
 
-// One benchmark per experiment in EXPERIMENTS.md. Each wraps a single
-// point of the corresponding uavbench sweep in testing.B so regressions
-// surface in ordinary `go test -bench=.` runs; the full parameter sweeps
-// (loss rates, subscriber counts, file sizes) are printed by cmd/uavbench.
+// Root benchmarks: BenchmarkExperiments runs every entry of the experiment
+// registry (internal/experiments/registry.go) at its quick size and
+// reports its flat metrics; cmd/uavbench runs the same entries at full
+// size and prints the paper-style tables. The remaining benchmarks are
+// per-layer microbenchmarks with no experiment behind them.
 
 import (
-	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -22,73 +23,25 @@ import (
 	"uavmw/internal/variables"
 )
 
-// BenchmarkE1_EventVsRPC reports median one-way notification latency for
-// the event primitive and its remote-invocation equivalent (§4.3 claim:
-// "events seem faster than their function equivalent").
-func BenchmarkE1_EventVsRPC(b *testing.B) {
-	res, err := experiments.RunE1(max(b.N, 100), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Event.Percentile(50).Nanoseconds()), "event-p50-ns")
-	b.ReportMetric(float64(res.RPC.Percentile(50).Nanoseconds()), "rpc-p50-ns")
-	b.ReportMetric(float64(res.RPC.Percentile(50))/float64(res.Event.Percentile(50)), "rpc/event")
-}
-
-// BenchmarkE2_EventARQvsTCP compares per-message ARQ with a TCP-like
-// in-order stream at 5% loss (§4.2 claim).
-func BenchmarkE2_EventARQvsTCP(b *testing.B) {
-	res, err := experiments.RunE2(200, 0.05, 64, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.ARQTotal.Milliseconds()), "arq-total-ms")
-	b.ReportMetric(float64(res.GBNTotal.Milliseconds()), "gbn-total-ms")
-	b.ReportMetric(float64(res.GBNPerMsg.Percentile(99))/float64(res.ARQPerMsg.Percentile(99)), "gbn/arq-p99")
-}
-
-// BenchmarkE3_MulticastBandwidth reports bytes-on-wire per delivered event
-// occurrence for group-addressed multicast vs unicast ARQ fan-out at
-// 2/8/32 subscribers (§4.1 claim applied to the §4.2 event primitive):
-// multicast sends each payload once per group instead of once per
-// subscriber.
-func BenchmarkE3_MulticastBandwidth(b *testing.B) {
-	for _, subs := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			res, err := experiments.RunE3(nil, subs, 100)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkExperiments runs each registry entry at quick size on its own
+// clock (virtual for E3 and E11–E17, wall otherwise); ns/op is the wall
+// time of one run and every metric the entry records is reported.
+func BenchmarkExperiments(b *testing.B) {
+	for i := range experiments.All {
+		exp := &experiments.All[i]
+		b.Run(exp.Name, func(b *testing.B) {
+			var out experiments.Outcome
+			for n := 0; n < b.N; n++ {
+				var err error
+				if out, err = exp.Execute(io.Discard, true, exp.Seed); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric(float64(res.McastBytes), "mcast-bytes")
-			b.ReportMetric(float64(res.UcastBytes), "ucast-bytes")
-			b.ReportMetric(float64(res.UcastBytes)/float64(res.McastBytes), "saving-x")
+			for k, v := range out.Metrics {
+				b.ReportMetric(v, k)
+			}
 		})
 	}
-}
-
-// BenchmarkE4_MFTPvsEventTransfer distributes 256 KB to 4 receivers at 2%
-// loss through the file primitive and through chunked events (§4.4 claim).
-func BenchmarkE4_MFTPvsEventTransfer(b *testing.B) {
-	res, err := experiments.RunE4(256<<10, 4, 0.02, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.MFTPTime.Milliseconds()), "mftp-ms")
-	b.ReportMetric(float64(res.EventsTime.Milliseconds()), "events-ms")
-	b.ReportMetric(float64(res.EventsTime)/float64(res.MFTPTime), "speedup-x")
-}
-
-// BenchmarkE5_LocalBypass measures same-container vs networked access for
-// a 1 MB file resource and for variable delivery (§4.4 bypass, figure F2).
-func BenchmarkE5_LocalBypass(b *testing.B) {
-	res, err := experiments.RunE5(1<<20, max(b.N, 50))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.LocalFetch.Microseconds()), "local-fetch-us")
-	b.ReportMetric(float64(res.RemoteFetch.Microseconds()), "remote-fetch-us")
-	b.ReportMetric(float64(res.LocalVar.Nanoseconds()), "local-var-ns")
-	b.ReportMetric(float64(res.RemoteVar.Nanoseconds()), "remote-var-ns")
 }
 
 // BenchmarkE6_EncodingCodec measures the PEPt encoding layer on the
@@ -149,82 +102,6 @@ func flightStateForBench() flightsim.State {
 	}
 }
 
-// BenchmarkE7_FailoverRedirect measures redirection latency after the
-// pinned provider dies, at a 100 ms failure deadline (§4.3).
-func BenchmarkE7_FailoverRedirect(b *testing.B) {
-	res, err := experiments.RunE7(100 * time.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Redirect.Milliseconds()), "redirect-ms")
-	b.ReportMetric(float64(res.CallsFailed), "failed-calls")
-}
-
-// BenchmarkE11_RPCHedgedFailover runs 8 concurrent callers against a
-// statically-pinned provider that stalls past the 250ms QoS deadline, at
-// 2% loss. Hedged calls must complete within the deadline via the
-// redundant provider; the unhedged baseline burns the whole budget and
-// fails (§4.3 bounded-latency redirection).
-func BenchmarkE11_RPCHedgedFailover(b *testing.B) {
-	unhedged, err := experiments.RunE11(nil, 8, 10, false, 0.02, 400*time.Millisecond, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hedged, err := experiments.RunE11(nil, 8, 10, true, 0.02, 400*time.Millisecond, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(unhedged.OK), "unhedged-ok")
-	b.ReportMetric(float64(hedged.OK), "hedged-ok")
-	b.ReportMetric(hedged.Throughput, "hedged-calls/s")
-	b.ReportMetric(float64(hedged.Latency.Percentile(99).Milliseconds()), "hedged-p99-ms")
-}
-
-// BenchmarkE12_DiscoveryWireCost measures steady-state discovery bytes per
-// announce period for 16 nodes × 100 records under the incremental plane
-// (constant-size digests + registration deltas) against the old full-state
-// re-broadcast, plus the latency from a new offer to fleet-wide
-// resolvability (§3 name management at scale).
-func BenchmarkE12_DiscoveryWireCost(b *testing.B) {
-	res, err := experiments.RunE12(nil, 16, 100, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.SteadyBytesPerPeriod, "steady-B/period")
-	b.ReportMetric(res.BaselineBytesPerPeriod, "fullstate-B/period")
-	b.ReportMetric(res.BaselineBytesPerPeriod/res.SteadyBytesPerPeriod, "saving-x")
-	b.ReportMetric(float64(res.Converge.Microseconds()), "converge-us")
-}
-
-// BenchmarkE13_EgressPriorityInversion runs a 96KB bulk transfer to a
-// ground station over a simulated 1 Mb/s air-to-ground link while 50Hz
-// PriorityCritical alarms flow. Unshaped (flood) bulk queues seconds of
-// chunks ahead of every alarm at the link; the egress plane (strict
-// priority lanes + paced bulk) keeps alarm p99 near the unloaded baseline
-// while bulk stays near line rate.
-func BenchmarkE13_EgressPriorityInversion(b *testing.B) {
-	res, err := experiments.RunE13(nil, 96*1024, 125_000, 50, 13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Unloaded.Percentile(99).Microseconds()), "unloaded-p99-us")
-	b.ReportMetric(float64(res.Flood.Percentile(99).Microseconds()), "flood-p99-us")
-	b.ReportMetric(float64(res.Shaped.Percentile(99).Microseconds()), "shaped-p99-us")
-	b.ReportMetric(res.ShapedGoodput/1024, "shaped-KB/s")
-	b.ReportMetric(100*res.ShapedGoodput/125_000, "shaped-line-%")
-}
-
-// BenchmarkE8_SchedulerPriority loads the fixed-priority pool and reports
-// p99 queue latency for the critical and bulk classes (§6 soft real time).
-func BenchmarkE8_SchedulerPriority(b *testing.B) {
-	res, err := experiments.RunE8(4, 2000, 100, 50*time.Microsecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Priorities[qos.PriorityCritical].Percentile(99).Microseconds()), "critical-p99-us")
-	b.ReportMetric(float64(res.Priorities[qos.PriorityBulk].Percentile(99).Microseconds()), "bulk-p99-us")
-}
-
 // BenchmarkE8_InlineSchedulerBaseline is the F4 ablation partner: the
 // pass-through scheduler has no queueing at all (and no isolation).
 func BenchmarkE8_InlineSchedulerBaseline(b *testing.B) {
@@ -234,30 +111,6 @@ func BenchmarkE8_InlineSchedulerBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := s.Submit(qos.PriorityNormal, func() {}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE9_Figure3Mission runs the full §5 mission per iteration on the
-// in-process bus: 4 containers, 6 services, 4 photo sites.
-func BenchmarkE9_Figure3Mission(b *testing.B) {
-	plan := flightsim.SurveyPlan("bench", 41.2750, 1.9870, 2, 600, 200, 120, 25)
-	for i := 0; i < b.N; i++ {
-		bus := transport.NewBus()
-		res, err := services.RunMission(services.MissionConfig{
-			Plan: plan,
-			Transports: func(id transport.NodeID) (transport.Transport, error) {
-				return bus.Endpoint(id)
-			},
-			TimeScale:  80,
-			SampleRate: 15 * time.Millisecond,
-			Timeout:    2 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Photos != 4 {
-			b.Fatalf("photos = %d", res.Photos)
 		}
 	}
 }
@@ -311,17 +164,6 @@ func BenchmarkE10_ValidityCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkF2_LocalVsRemoteDelivery measures one publish through the local
-// bypass against one acknowledged cross-node publish (figure F2).
-func BenchmarkF2_LocalVsRemoteDelivery(b *testing.B) {
-	res, err := experiments.RunE5(4096, max(b.N, 50))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.LocalVar.Nanoseconds()), "local-ns")
-	b.ReportMetric(float64(res.RemoteVar.Nanoseconds()), "remote-ns")
 }
 
 // BenchmarkImagingPipeline measures the payload substrate: synthetic frame
@@ -396,10 +238,6 @@ func BenchmarkFrameCodec(b *testing.B) {
 	})
 }
 
-func sizedName(n int) string { return fmt.Sprintf("%d", n) }
-
-var _ = sizedName // reserved for sweep-style sub-benchmarks
-
 // BenchmarkWirePath measures one end-to-end telemetry publish between two
 // containers on the in-process bus: presentation coercion, compiled
 // encoding, pooled sample+frame encode, egress lane drain, transport
@@ -473,24 +311,4 @@ func BenchmarkWirePath(b *testing.B) {
 		}
 		<-received
 	}
-}
-
-// BenchmarkE14_BearerHandover drives the multi-bearer link plane through a
-// WiFi→radio handover: a 96KB transfer rides the 1 Mb/s wifi bearer while
-// 50Hz critical alarms pin to the 250 kb/s radio; wifi blacks out
-// mid-transfer. Reported: alarm p99 across the blackout vs unloaded, the
-// handover detection time, and the bulk rate recovered on the surviving
-// radio against its shaped rate.
-func BenchmarkE14_BearerHandover(b *testing.B) {
-	res, err := experiments.RunE14(nil, 96*1024, 400*time.Millisecond, 14)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Unloaded.Percentile(99).Microseconds()), "unloaded-p99-us")
-	b.ReportMetric(float64(res.Multi.Percentile(99).Microseconds()), "loaded-p99-us")
-	b.ReportMetric(float64(res.MultiLost), "alarms-lost")
-	b.ReportMetric(float64(res.HandoverDetect.Milliseconds()), "handover-ms")
-	b.ReportMetric(res.RecoveredBPS/1024, "recovered-KB/s")
-	b.ReportMetric(100*res.RecoveredBPS/float64(res.RadioShaped), "recovered-shaped-%")
-	b.ReportMetric(float64(res.SingleLost), "single-bearer-lost")
 }

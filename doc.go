@@ -27,11 +27,12 @@
 // every datagram send drains through a priority-aware egress plane
 // (internal/egress) of per-destination strict-priority lanes with
 // drop-oldest overflow, a token-bucket pacer that shapes the PriorityBulk
-// class (core.WithBulkRateBPS, qos.TransferQoS.RateBPS) so file-transfer
-// chunks never fill a constrained link's queue ahead of critical frames,
-// and coalescing of small same-lane frames into MTBatch datagrams that
-// receivers unpack transparently. Experiment E13 measures the priority
-// inversion this removes on a 1 Mb/s air-to-ground link.
+// class (core.WithEgress with egress.Config.BulkRateBPS,
+// qos.TransferQoS.RateBPS) so file-transfer chunks never fill a
+// constrained link's queue ahead of critical frames, and coalescing of
+// small same-lane frames into MTBatch datagrams that receivers unpack
+// transparently. Experiment E13 measures the priority inversion this
+// removes on a 1 Mb/s air-to-ground link.
 //
 // Transmission spans redundant heterogeneous datalinks: a node registers N
 // datagram bearers (core.WithBearer — e.g. short-range WiFi plus a
@@ -52,10 +53,10 @@
 // The module path is uavmw; build with go build ./... and verify with
 // go test ./... (see README.md for the package map).
 //
-// Start with the README for the architecture map, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the reproduced evaluation. The
+// Start with the README for the architecture map and the reproduced
+// evaluation. Every experiment is defined once, in the registry in
+// internal/experiments (experiments.All): cmd/uavbench runs its entries at
+// full size, BenchmarkExperiments in this directory runs them at quick
+// size, and the baseline guards replay E13–E17 against testdata. The
 // runnable entry points are in examples/ and cmd/.
-//
-// The benchmarks in this directory regenerate one point of each experiment
-// sweep; the full parameter sweeps live in cmd/uavbench.
 package uavmw

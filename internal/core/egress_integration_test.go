@@ -21,7 +21,10 @@ func TestBatchedFramesDeliverTransparently(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 21, Latency: 200 * time.Microsecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "uav")
-	sub := newSimNode(t, net, "gs")
+	// The inline scheduler runs handlers in engine order; the pool's
+	// parallel same-class workers would reorder the burst after the
+	// MTBatch round trip this test checks.
+	sub := newSimNode(t, net, "gs", WithScheduler(inlineSched()))
 	syncNodes(t, pub, sub)
 
 	p, err := pub.Events().Offer("batch.burst", "it", presentation.Uint32(), mcastEventQoS)

@@ -124,7 +124,6 @@ type Node struct {
 	local   *recvShard
 	seq     atomic.Uint64
 	epoch   uint64
-	mtu     int
 
 	// Incremental discovery plane (§3 at fleet scale): the versioned log
 	// of this node's own offer, the reassembly state for unicast full
@@ -189,7 +188,6 @@ type nodeConfig struct {
 	arqOpts         []protocol.ARQOption
 	fileOpts        []filetransfer.Option
 	loadProbe       func() float64
-	mtu             int
 	budget          ResourceBudget
 	rpcInflight     int
 	egressCfg       egress.Config
@@ -285,15 +283,6 @@ func WithLoadProbe(f func() float64) NodeOption {
 	return func(c *nodeConfig) { c.loadProbe = f }
 }
 
-// WithMTU overrides the fragmentation threshold.
-func WithMTU(n int) NodeOption {
-	return func(c *nodeConfig) {
-		if n > 0 {
-			c.mtu = n
-		}
-	}
-}
-
 // WithResourceBudget sets the node's admission-control budget (§3 resource
 // management).
 func WithResourceBudget(b ResourceBudget) NodeOption {
@@ -304,15 +293,6 @@ func WithResourceBudget(b ResourceBudget) NodeOption {
 // bulk pacing, frame coalescing). Zero fields take the plane defaults.
 func WithEgress(cfg egress.Config) NodeOption {
 	return func(c *nodeConfig) { c.egressCfg = cfg }
-}
-
-// WithBulkRateBPS token-bucket-shapes the node's PriorityBulk egress lane
-// (file-transfer chunks) to the given wire bytes/second. Set it at or just
-// below the narrowest link the node transmits over, so bulk traffic never
-// fills a link queue that critical frames would then wait behind (§4
-// priority inversion at the sender). Zero leaves bulk unshaped.
-func WithBulkRateBPS(bps int64) NodeOption {
-	return func(c *nodeConfig) { c.egressCfg.BulkRateBPS = bps }
 }
 
 // WithRPCInflightLimit caps concurrently executing remote-call handlers on
@@ -353,7 +333,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	cfg := nodeConfig{
 		enc:            encoding.Binary{},
 		announcePeriod: DefaultAnnouncePeriod,
-		mtu:            protocol.DefaultMTU,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -400,7 +379,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		live:            naming.NewLiveness(cfg.failureDeadline),
 		types:           presentation.NewRegistry(),
 		epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
-		mtu:             cfg.mtu,
 		log:             naming.NewLog(),
 		syncAsm:         naming.NewSyncAssembler(),
 		syncReqAt:       make(map[transport.NodeID]time.Time),
@@ -421,11 +399,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.budget = cfg.budget
 	// All datagram transmission drains through the egress plane: strict
 	// per-(bearer, destination) priority lanes, shaped bulk per bearer,
-	// coalesced small frames. The plane's MTU budget for coalesced batches
-	// tracks the node's.
-	if cfg.egressCfg.MaxDatagram == 0 {
-		cfg.egressCfg.MaxDatagram = cfg.mtu
-	}
+	// coalesced small frames.
 	cfg.egressCfg.Clock = clk
 	cfg.egressCfg.Metrics = n.metrics
 	n.egress = egress.NewPlane()
@@ -606,12 +580,12 @@ func (n *Node) SendBestEffort(to transport.NodeID, f *protocol.Frame) error {
 		bufpool.Put(raw)
 		return nil
 	}
-	if len(raw) <= n.mtu {
+	if len(raw) <= protocol.DefaultMTU {
 		// Single datagram: the steady-state path. Ownership of the
 		// pooled buffer transfers to egress.
 		return n.egress.EnqueueOwned(to, f.Priority, raw)
 	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu, nil)
+	parts, err := protocol.Fragment(raw, f.Seq, protocol.DefaultMTU, nil)
 	bufpool.Put(raw) // fragments carry their own GC-owned copies
 	if err != nil {
 		return err
@@ -633,10 +607,10 @@ func (n *Node) SendGroup(group string, f *protocol.Frame) error {
 	if err != nil {
 		return err
 	}
-	if len(raw) <= n.mtu {
+	if len(raw) <= protocol.DefaultMTU {
 		return n.egress.EnqueueGroupOwned(group, f.Priority, raw)
 	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu, nil)
+	parts, err := protocol.Fragment(raw, f.Seq, protocol.DefaultMTU, nil)
 	bufpool.Put(raw)
 	if err != nil {
 		return err
@@ -681,7 +655,7 @@ func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, opts fabric.
 		finish(err)
 		return
 	}
-	if len(raw) <= n.mtu {
+	if len(raw) <= protocol.DefaultMTU {
 		if err := n.arq.SendTuned(to, f.Seq, raw, tune, done); err != nil {
 			finish(err)
 		}
@@ -691,7 +665,7 @@ func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, opts fabric.
 	// stamped by Fragment with a fresh seq; the message completes when
 	// all fragments are acknowledged.
 	var seqs []uint64
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu, func() uint64 {
+	parts, err := protocol.Fragment(raw, f.Seq, protocol.DefaultMTU, func() uint64 {
 		seq := n.NextSeq()
 		seqs = append(seqs, seq)
 		return seq
@@ -1484,7 +1458,7 @@ func (n *Node) handleSyncReq(from transport.NodeID, f *protocol.Frame) {
 		Node: n.id, Epoch: n.epoch, Version: version,
 		Load: n.loadProbe(), Records: recs,
 	}
-	chunks, err := naming.EncodeSyncChunks(ann, n.mtu-syncFrameOverhead)
+	chunks, err := naming.EncodeSyncChunks(ann, protocol.DefaultMTU-syncFrameOverhead)
 	if err != nil {
 		n.syncServing.Add(-1)
 		uerr.Note(n.metrics, codeSyncRepEncode, err, "encode sync chunks")

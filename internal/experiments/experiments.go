@@ -1,17 +1,20 @@
 // Package experiments implements the measurement harnesses for every
-// experiment in EXPERIMENTS.md (E1–E9, E11–E14). The uavbench command runs
-// the full parameter sweeps and prints the paper-style tables; the
-// repository-root benchmarks wrap single points of each sweep in testing.B.
+// experiment (E1–E5, E7–E9, E11–E17) and the registry that defines each
+// one once (All, in registry.go): its seed, clock, parameters, reported
+// metrics and baseline guard rules. The uavbench command runs the entries
+// at full size and prints the paper-style tables, the repository-root
+// BenchmarkExperiments runs them at quick size, and the root baseline
+// guards replay E13–E17 against the committed testdata.
 //
 // Every harness builds a fresh middleware deployment on an in-process or
 // simulated substrate, measures, and tears down, so experiments are
 // independent and repeatable (seeded netsim, no shared global state).
 //
-// The simulation-backed harnesses (RunE3, RunE11–RunE14) take an injected
-// clock.Clock and by default run under RunVirtual on a discrete-event
-// virtual clock: minutes of scenario time execute in wall milliseconds,
-// and a given seed reproduces byte-identical results. Passing a nil clock
-// selects the wall clock. Goroutines inside a virtual harness must be
+// The simulation-backed harnesses (RunE3, RunE11–RunE17) take an injected
+// clock.Clock and the registry runs them under RunVirtual on a
+// discrete-event virtual clock: minutes of scenario time execute in wall
+// milliseconds, and a given seed reproduces byte-identical results.
+// Passing a nil clock selects the wall clock. Goroutines inside a virtual harness must be
 // registered with the clock (clock.Go / clock.Live), block on managed
 // primitives (clock.Trigger, clock.Cond, Sleep), and wrap foreign blocking
 // (channel receives, WaitGroup waits) in clock.Blocking — see the clock
