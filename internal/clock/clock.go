@@ -10,19 +10,28 @@
 // middleware's own stack. Determinism follows from the same property:
 // same seed, same event order, same wire stats.
 //
-// Rules for code running under a Virtual clock:
+// The contract for code running under a Virtual clock:
 //
-//   - Spawn long-lived goroutines with Go (or Virtual.Go) so the clock
-//     knows they exist; time never advances while a registered goroutine
-//     is runnable.
-//   - Park only through clock-managed operations — Sleep, SleepStop,
-//     Trigger.Wait, Cond.Wait, Ticker.Wait — whose wake-ups decrement the
-//     parked count at fire time, before the sleeper is runnable.
+//   - Registration is fixed at spawn. A goroutine is registered when it
+//     is spawned with Go (or Virtual.Go), when it is the goroutine an
+//     AfterFunc callback runs on, or for the duration of Virtual.Run;
+//     time never advances while a registered goroutine is runnable. Run
+//     does not nest.
+//   - Only a registered goroutine parks on the clock, and only through
+//     clock-managed operations — Sleep, SleepStop, Trigger.Wait,
+//     Cond.Wait, Ticker.Wait — whose wake-ups decrement the parked count
+//     at fire time, before the sleeper is runnable.
 //   - A registered goroutine that must wait on a plain channel (an RPC
 //     reply, a WaitGroup) wraps the wait in Blocking so virtual time may
-//     advance while it waits. The un-park there is best effort: time can
-//     briefly advance past the wake-up, which is why hot loops use the
-//     managed primitives instead.
+//     advance while it waits. The wait itself must not park on the clock
+//     again. The un-park there is best effort: time can briefly advance
+//     past the wake-up, which is why hot loops use the managed
+//     primitives instead.
+//
+// Parks do not identify their caller, so a breach is not detected in a
+// normal build: it shows up as time advancing under running work, or as
+// a stall. Race builds (go test -race) check every registration and
+// park and panic with a message naming the broken rule.
 //
 // Timer/Ticker channels (C) keep stdlib semantics (capacity-1,
 // non-blocking send) for unregistered consumers; registered goroutines
@@ -83,34 +92,6 @@ func Go(c Clock, fn func()) {
 	go fn()
 }
 
-// Live registers the calling goroutine with a Virtual clock for the
-// duration of fn, so time cannot advance while it is runnable — the
-// companion to Go for goroutines the component did not spawn itself (an
-// engine making its caller's in-call work visible to the clock). Nested
-// use and already-registered callers are no-ops; on a Real clock it just
-// runs fn.
-func Live(c Clock, fn func()) {
-	v, ok := c.(*Virtual)
-	if !ok {
-		fn()
-		return
-	}
-	id := gid()
-	v.mu.Lock()
-	if v.reg[id] > 0 {
-		// Already visible (registering again would inflate the worker
-		// count past what one goroutine's park can satisfy).
-		v.mu.Unlock()
-		fn()
-		return
-	}
-	v.workers++
-	v.reg[id]++
-	v.mu.Unlock()
-	defer v.unregister(id)
-	fn()
-}
-
 // SleepStop sleeps d or until stop closes; false means stopped. It is
 // the clock-safe form of the ubiquitous timer/stop select loop.
 func SleepStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
@@ -132,10 +113,10 @@ func SleepStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
 	}
 }
 
-// Blocking marks the calling goroutine as parked for the duration of
-// wait, so a Virtual clock may advance while it blocks on something the
-// clock cannot see (an RPC reply channel, a WaitGroup). On a Real clock
-// it just runs wait.
+// Blocking marks the calling registered goroutine as parked for the
+// duration of wait, so a Virtual clock may advance while it blocks on
+// something the clock cannot see (an RPC reply channel, a WaitGroup).
+// wait must not park on the clock. On a Real clock it just runs wait.
 func Blocking(c Clock, wait func()) {
 	if v, ok := c.(*Virtual); ok {
 		v.Blocking(wait)

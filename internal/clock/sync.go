@@ -27,7 +27,7 @@ type Trigger interface {
 // NewTrigger builds a trigger bound to c.
 func NewTrigger(c Clock) Trigger {
 	if v, ok := c.(*Virtual); ok {
-		return &virtualTrigger{v: v}
+		return newVirtualTrigger(v)
 	}
 	return &realTrigger{ch: make(chan struct{}, 1)}
 }
@@ -65,30 +65,46 @@ func (t *realTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 	}
 }
 
+// virtualTrigger parks its single consumer on a capacity-1 channel it
+// reuses for every Wait, like realTrigger, so a park allocates nothing
+// but its deadline event.
 type virtualTrigger struct {
-	v       *Virtual
-	pending bool     // guarded by v.mu
-	waiter  *vparker // guarded by v.mu
+	v        *Virtual
+	wake     chan struct{} // the parked waiter's wake-up token
+	deadline func()        // t.deadlineFired, bound once
+	pending  bool          // guarded by v.mu
+	parked   bool          // a waiter is parked (guarded by v.mu)
+	ev       *event        // the parked waiter's deadline (guarded by v.mu)
 }
 
-type vparker struct {
-	ch    chan struct{}
-	ev    *event
-	woken bool
+func newVirtualTrigger(v *Virtual) *virtualTrigger {
+	t := &virtualTrigger{v: v, wake: make(chan struct{}, 1)}
+	t.deadline = t.deadlineFired
+	return t
+}
+
+// wakeLocked releases the parked waiter. Caller holds v.mu.
+func (t *virtualTrigger) wakeLocked() {
+	t.parked = false
+	t.v.blocked--
+	t.wake <- struct{}{}
+}
+
+// deadlineFired runs under v.mu.
+func (t *virtualTrigger) deadlineFired() {
+	t.ev = nil
+	t.wakeLocked()
 }
 
 func (t *virtualTrigger) Signal() {
 	v := t.v
 	v.mu.Lock()
-	if w := t.waiter; w != nil {
-		t.waiter = nil
-		w.woken = true
-		if w.ev != nil {
-			v.removeLocked(w.ev)
-			w.ev = nil
+	if t.parked {
+		if t.ev != nil {
+			v.removeLocked(t.ev)
+			t.ev = nil
 		}
-		v.blocked--
-		close(w.ch)
+		t.wakeLocked()
 	} else {
 		t.pending = true
 	}
@@ -101,47 +117,36 @@ func (t *virtualTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 		return false
 	default:
 	}
-	id := gid()
 	v := t.v
+	v.contract.park()
 	v.mu.Lock()
 	if t.pending {
 		t.pending = false
 		v.mu.Unlock()
 		return true
 	}
-	w := &vparker{ch: make(chan struct{})}
-	t.waiter = w
+	t.parked = true
 	if d >= 0 {
-		w.ev = v.scheduleLocked(d, func() {
-			if t.waiter == w {
-				t.waiter = nil
-			}
-			w.ev = nil
-			w.woken = true
-			v.blocked--
-			close(w.ch)
-		})
+		t.ev = v.scheduleLocked(d, t.deadline)
 	}
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	select {
-	case <-w.ch:
-		v.exitPark(temp)
+	case <-t.wake:
 		return true
 	case <-stop:
 		v.mu.Lock()
-		if !w.woken {
-			if t.waiter == w {
-				t.waiter = nil
-			}
-			if w.ev != nil {
-				v.removeLocked(w.ev)
-				w.ev = nil
+		if t.parked {
+			t.parked = false
+			if t.ev != nil {
+				v.removeLocked(t.ev)
+				t.ev = nil
 			}
 			v.blocked--
+		} else {
+			<-t.wake // woken in the same window; the token was sent under v.mu
 		}
 		v.mu.Unlock()
-		v.exitPark(temp)
 		return false
 	}
 }
@@ -170,12 +175,11 @@ func NewCond(c Clock, l sync.Locker) *Cond {
 // a loop.
 func (c *Cond) Wait() {
 	ch := make(chan struct{})
-	var temp bool
 	if c.v != nil {
-		id := gid()
+		c.v.contract.park()
 		c.v.mu.Lock()
 		c.waiters = append(c.waiters, ch)
-		temp = c.v.enterParkLocked(id)
+		c.v.parkLocked()
 		c.v.mu.Unlock()
 	} else {
 		c.mu.Lock()
@@ -185,9 +189,6 @@ func (c *Cond) Wait() {
 	c.L.Unlock()
 	<-ch
 	c.L.Lock()
-	if c.v != nil {
-		c.v.exitPark(temp)
-	}
 }
 
 // Signal wakes the longest-parked waiter, if any.

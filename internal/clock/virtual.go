@@ -2,7 +2,6 @@ package clock
 
 import (
 	"container/heap"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -16,22 +15,25 @@ import (
 // waking exactly one sleeper, whose parked count is released at fire
 // time so time can never advance past a runnable goroutine.
 //
-// Goroutines not registered (via Go or Run) may still park on the clock:
-// the park temporarily registers them, so their wake-up is ordered like
-// any other — but while they are runnable the clock cannot see them, and
-// time may advance underneath their work. Register anything long-lived.
+// Registration is fixed when a goroutine is spawned: Go, Run and the
+// goroutine an AfterFunc callback runs on count themselves in workers
+// before they start and out when they end. A park therefore never asks
+// who is calling; it only adds one to blocked. The contract that makes
+// this sound: only a registered goroutine parks, it does not park again
+// inside Blocking's wait, and it does not nest Run. Race builds check
+// the contract and panic naming the broken rule.
 //
 // Event fire functions run with the clock lock held; they only mutate
 // clock-guarded state, close channels, or spawn goroutines — never call
 // back into user code synchronously or take other locks.
 type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
-	seq     uint64
-	events  eventHeap
-	workers int           // registered goroutines (incl. temporary park registrations)
-	blocked int           // registered goroutines currently parked on the clock
-	reg     map[int64]int // registration count per goroutine id
+	mu       sync.Mutex
+	now      time.Time
+	seq      uint64
+	events   eventHeap
+	workers  int      // registered goroutines (Go, Run, AfterFunc callbacks)
+	blocked  int      // registered goroutines currently parked on the clock
+	contract contract // race builds: checks the registration contract
 }
 
 // DefaultEpoch is where a Virtual clock starts unless NewVirtualAt is
@@ -44,27 +46,10 @@ func NewVirtual() *Virtual { return NewVirtualAt(DefaultEpoch) }
 
 // NewVirtualAt returns a virtual clock whose time starts at start.
 func NewVirtualAt(start time.Time) *Virtual {
-	return &Virtual{now: start, reg: make(map[int64]int)}
+	return &Virtual{now: start}
 }
 
 var _ Clock = (*Virtual)(nil)
-
-// gid extracts the current goroutine's id from its stack header
-// ("goroutine 123 [running]:"). It is how park operations distinguish
-// registered callers (account blocked only) from unregistered ones
-// (temporarily registered for the park).
-func gid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	var id int64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
 
 type event struct {
 	at   time.Time
@@ -140,28 +125,13 @@ func (v *Virtual) maybeAdvanceLocked() {
 	}
 }
 
-// enterParkLocked accounts one goroutine parking on the clock; it
-// temporarily registers unregistered callers. Caller holds v.mu and
-// passes its gid. The returned temp flag goes back to exitPark.
-func (v *Virtual) enterParkLocked(id int64) (temp bool) {
-	temp = v.reg[id] == 0
-	if temp {
-		v.workers++
-	}
+// parkLocked accounts the calling registered goroutine as parked and
+// fires whatever that unblocks. The wake-up that ends the park releases
+// the count (blocked--) at fire time, so nothing is left to do after the
+// park returns. Caller holds v.mu.
+func (v *Virtual) parkLocked() {
 	v.blocked++
 	v.maybeAdvanceLocked()
-	return temp
-}
-
-// exitPark is the bookkeeping after a park whose blocked count was
-// already released (by the event fire or a stop-branch correction).
-func (v *Virtual) exitPark(temp bool) {
-	v.mu.Lock()
-	if temp {
-		v.workers--
-	}
-	v.maybeAdvanceLocked()
-	v.mu.Unlock()
 }
 
 // Now implements Clock.
@@ -187,59 +157,54 @@ func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.workers++ // counted before spawn so time cannot advance first
 	v.mu.Unlock()
-	go func() {
-		id := gid()
-		v.mu.Lock()
-		v.reg[id]++
-		v.mu.Unlock()
-		defer v.unregister(id)
-		fn()
-	}()
+	go v.registered(fn)
 }
 
 // Run registers the calling goroutine for the duration of fn — the
 // harness entry point: v.Run(func(){ ...build nodes, sleep, assert... }).
+// Run does not nest.
 func (v *Virtual) Run(fn func()) {
-	id := gid()
+	v.contract.register()
 	v.mu.Lock()
 	v.workers++
-	v.reg[id]++
 	v.mu.Unlock()
-	defer v.unregister(id)
+	defer v.unregister()
 	fn()
 }
 
-func (v *Virtual) unregister(id int64) {
+// registered runs fn on a goroutine its spawner already counted in
+// workers (Go, AfterFunc).
+func (v *Virtual) registered(fn func()) {
+	v.contract.register()
+	defer v.unregister()
+	fn()
+}
+
+func (v *Virtual) unregister() {
+	v.contract.unregister()
 	v.mu.Lock()
-	if v.reg[id] <= 1 {
-		delete(v.reg, id)
-	} else {
-		v.reg[id]--
-	}
 	v.workers--
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
 }
 
-// Sleep implements Clock, from registered and unregistered goroutines
-// alike.
+// Sleep implements Clock for registered goroutines.
 func (v *Virtual) Sleep(d time.Duration) {
-	id := gid()
+	v.contract.park()
 	ch := make(chan struct{})
 	v.mu.Lock()
 	v.scheduleLocked(d, func() {
 		v.blocked--
 		close(ch)
 	})
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	<-ch
-	v.exitPark(temp)
 }
 
 // sleepStop is SleepStop's virtual arm.
 func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
-	id := gid()
+	v.contract.park()
 	ch := make(chan struct{})
 	fired := false
 	v.mu.Lock()
@@ -248,11 +213,10 @@ func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
 		v.blocked--
 		close(ch)
 	})
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	select {
 	case <-ch:
-		v.exitPark(temp)
 		return true
 	case <-stop:
 		v.mu.Lock()
@@ -261,25 +225,25 @@ func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
 			v.blocked--
 		}
 		v.mu.Unlock()
-		v.exitPark(temp)
 		return false
 	}
 }
 
-// Blocking marks the caller parked while wait runs, so time may advance
-// while it blocks outside the clock. The un-park on return is best
-// effort (time may already have advanced past the wake-up); hot loops
-// use the managed primitives instead.
+// Blocking marks the registered caller parked while wait runs, so time
+// may advance while it blocks outside the clock. wait must not park on
+// the clock itself. The un-park on return is best effort (time may
+// already have advanced past the wake-up); hot loops use the managed
+// primitives instead.
 func (v *Virtual) Blocking(wait func()) {
-	id := gid()
+	v.contract.enterBlocking()
 	v.mu.Lock()
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	wait()
 	v.mu.Lock()
 	v.blocked--
 	v.mu.Unlock()
-	v.exitPark(temp)
+	v.contract.exitBlocking()
 }
 
 // After implements Clock.
@@ -329,14 +293,7 @@ func (t *virtualTimer) fireChan() {
 func (t *virtualTimer) fireFunc() {
 	t.ev = nil
 	t.v.workers++
-	go func() {
-		id := gid()
-		t.v.mu.Lock()
-		t.v.reg[id]++
-		t.v.mu.Unlock()
-		defer t.v.unregister(id)
-		t.f()
-	}()
+	go t.v.registered(t.f)
 }
 
 func (t *virtualTimer) Stop() bool {
@@ -425,8 +382,8 @@ func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
 		return false
 	default:
 	}
-	id := gid()
 	v := t.v
+	v.contract.park()
 	v.mu.Lock()
 	if t.stopped {
 		v.mu.Unlock()
@@ -443,11 +400,10 @@ func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
 	}
 	w := make(chan struct{})
 	t.waiter = w
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	select {
 	case <-w:
-		v.exitPark(temp)
 		return true
 	case <-stop:
 		v.mu.Lock()
@@ -456,7 +412,6 @@ func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
 			v.blocked--
 		}
 		v.mu.Unlock()
-		v.exitPark(temp)
 		return false
 	}
 }

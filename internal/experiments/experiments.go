@@ -14,11 +14,12 @@
 // clock.Clock and the registry runs them under RunVirtual on a
 // discrete-event virtual clock: minutes of scenario time execute in wall
 // milliseconds, and a given seed reproduces byte-identical results.
-// Passing a nil clock selects the wall clock. Goroutines inside a virtual harness must be
-// registered with the clock (clock.Go / clock.Live), block on managed
-// primitives (clock.Trigger, clock.Cond, Sleep), and wrap foreign blocking
-// (channel receives, WaitGroup waits) in clock.Blocking — see the clock
-// package docs for the accounting rules.
+// Passing a nil clock selects the wall clock. Goroutines inside a virtual
+// harness must be registered with the clock when they are spawned
+// (clock.Go, or RunVirtual's own Run), block on managed primitives
+// (clock.Trigger, clock.Cond, Sleep), and wrap foreign blocking (channel
+// receives, WaitGroup waits) in clock.Blocking without parking on the
+// clock inside it — see the clock package docs for the contract.
 package experiments
 
 import (

@@ -105,7 +105,7 @@ func TestVirtualDefaultsSerialize(t *testing.T) {
 func TestOwnershipHandoff(t *testing.T) {
 	type seen struct {
 		first byte
-		same  bool
+		addr  *byte
 		owner *bufpool.Shared
 	}
 	in := make([]byte, 16)
@@ -120,7 +120,7 @@ func TestOwnershipHandoff(t *testing.T) {
 			for _, pkt := range batch {
 				ch <- seen{
 					first: pkt.Payload[0],
-					same:  &pkt.Payload[0] == base,
+					addr:  &pkt.Payload[0],
 					owner: pkt.Owner,
 				}
 			}
@@ -130,7 +130,7 @@ func TestOwnershipHandoff(t *testing.T) {
 
 	p.Enqueue("", transport.Packet{From: "a", Payload: owner.Bytes(), Owner: owner})
 	zero := <-ch
-	if !zero.same {
+	if zero.addr != base {
 		t.Fatal("owned packet was copied; want zero-copy retain")
 	}
 	if zero.owner != owner {
@@ -149,7 +149,9 @@ func TestOwnershipHandoff(t *testing.T) {
 
 	p.Enqueue("", transport.Packet{From: "a", Payload: in})
 	copied := <-ch
-	if copied.same {
+	// Compare with the caller's buffer, not the owner's: the owner's
+	// buffer went back to the pool above and may back the pooled copy.
+	if copied.addr == &in[0] {
 		t.Fatal("ownerless packet aliased the caller's buffer; want pooled copy")
 	}
 	if copied.first != 0x5a {

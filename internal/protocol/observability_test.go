@@ -76,7 +76,7 @@ func TestARQRetransmitFailuresAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var final error
-	clock.Blocking(clk, func() {
+	clk.Run(func() {
 		for {
 			select {
 			case final = <-done:

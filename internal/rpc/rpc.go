@@ -517,63 +517,56 @@ func (e *Engine) Call(ctx context.Context, name string, args any, argType, retTy
 
 	// The race loop parks on the trigger (managed: under a Virtual clock a
 	// wake — outcome, hedge edge or deadline — is accounted before this
-	// goroutine runs). Live makes the caller itself visible to the clock
-	// for the call's duration, so the dispatch work between parks pins
-	// virtual time instead of letting it advance underneath the race.
-	race := func() (any, error) {
-		if err := launch(); err != nil {
-			return nil, err
+	// goroutine runs). Under a Virtual clock the caller is a registered
+	// goroutine, so the dispatch work between parks pins virtual time.
+	if err := launch(); err != nil {
+		return nil, err
+	}
+	rearmHedge()
+	for {
+		for _, out := range drain() {
+			if v, err, done := settle(out); done {
+				return v, err
+			}
 		}
-		rearmHedge()
-		for {
+		if hedging && appErr == nil && !e.clk.Now().Before(hedgeAt) {
+			if launched < maxAttempts && launch() == nil {
+				e.hedges.Inc()
+				rearmHedge()
+			} else {
+				hedging = false // no untried provider left; stop hedging
+			}
+			continue
+		}
+		wait := time.Duration(-1)
+		if hedging && appErr == nil {
+			wait = hedgeAt.Sub(e.clk.Now())
+		}
+		if !trig.Wait(wait, ctx.Done()) {
+			// Deadline (or caller cancellation). An outcome may have
+			// landed in the same scheduling window the deadline fired
+			// in; a winner that made it in time must not be reported
+			// as a deadline miss.
 			for _, out := range drain() {
 				if v, err, done := settle(out); done {
 					return v, err
 				}
 			}
-			if hedging && appErr == nil && !e.clk.Now().Before(hedgeAt) {
-				if launched < maxAttempts && launch() == nil {
-					e.hedges.Inc()
-					rearmHedge()
-				} else {
-					hedging = false // no untried provider left; stop hedging
-				}
-				continue
+			if appErr != nil {
+				return nil, appErr
 			}
-			wait := time.Duration(-1)
-			if hedging && appErr == nil {
-				wait = hedgeAt.Sub(e.clk.Now())
+			// A provider that burned the whole deadline without
+			// answering must not keep its static pin: the attempt
+			// goroutines' timeout outcomes may never be observed (they
+			// race this branch), so clear the pins here before the
+			// next call re-resolves.
+			e.unpinTried(name, tried)
+			if lastErr != nil {
+				return nil, fmt.Errorf("rpc: %s: %w (last: %v)", name, ErrDeadline, lastErr)
 			}
-			if !trig.Wait(wait, ctx.Done()) {
-				// Deadline (or caller cancellation). An outcome may have
-				// landed in the same scheduling window the deadline fired
-				// in; a winner that made it in time must not be reported
-				// as a deadline miss.
-				for _, out := range drain() {
-					if v, err, done := settle(out); done {
-						return v, err
-					}
-				}
-				if appErr != nil {
-					return nil, appErr
-				}
-				// A provider that burned the whole deadline without
-				// answering must not keep its static pin: the attempt
-				// goroutines' timeout outcomes may never be observed (they
-				// race this branch), so clear the pins here before the
-				// next call re-resolves.
-				e.unpinTried(name, tried)
-				if lastErr != nil {
-					return nil, fmt.Errorf("rpc: %s: %w (last: %v)", name, ErrDeadline, lastErr)
-				}
-				return nil, fmt.Errorf("rpc: %s: %w", name, ErrDeadline)
-			}
+			return nil, fmt.Errorf("rpc: %s: %w", name, ErrDeadline)
 		}
 	}
-	var retV any
-	var retErr error
-	clock.Live(e.clk, func() { retV, retErr = race() })
-	return retV, retErr
 }
 
 func (e *Engine) hasLocal(name string) bool {
