@@ -28,6 +28,9 @@ func TestPoolRunsJobs(t *testing.T) {
 	if count.Load() != 100 {
 		t.Errorf("ran %d jobs", count.Load())
 	}
+	// A worker counts a job as executed after the job returns, so the
+	// last count can trail done.Wait; Stop waits for the workers.
+	p.Stop()
 	if p.Executed(qos.PriorityNormal) != 100 {
 		t.Errorf("Executed = %d", p.Executed(qos.PriorityNormal))
 	}
