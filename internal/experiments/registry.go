@@ -190,10 +190,8 @@ func e15Guard() map[string]Tolerance {
 		g[p+"pooled_allocs"] = Tolerance{0, 0.02}
 		g[p+"legacy_allocs"] = Tolerance{0, 0.02}
 		g[p+"wire_b"] = exact
-		// Rates depend on the host's core speed (a median over timed
-		// windows on the measuring thread's CPU clock, see e15Measure):
-		// the wide band only catches a wire path that got drastically
-		// slower (an extra copy or re-encode).
+		// Rates are host wall-clock: the wide band only catches a wire
+		// path that got drastically slower (an extra copy or re-encode).
 		g[p+"pooled_fps"] = Tolerance{0.75, 0}
 		g[p+"legacy_fps"] = Tolerance{0.75, 0}
 	}

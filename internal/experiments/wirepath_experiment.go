@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,10 +26,10 @@ import (
 // Three phases:
 //
 //   - codec: exact allocs/frame (testing.AllocsPerRun — deterministic) and
-//     frames per CPU-second (see e15Measure) for the pooled round trip
-//     (bufpool + AppendFrame + DecodeFrameInto + frame pool) vs the
-//     legacy one (EncodeFrame + DecodeFrame) at a small payload, an
-//     MTU-filling payload, and a 16-frame coalesced batch.
+//     frames/s for the pooled round trip (bufpool + AppendFrame +
+//     DecodeFrameInto + frame pool) vs the legacy one (EncodeFrame +
+//     DecodeFrame) at a small payload, an MTU-filling payload, and a
+//     16-frame coalesced batch.
 //   - netsim: N telemetry samples between two containers over a simulated
 //     link under the injected clock — deterministic delivered counts and
 //     bytes-per-sample on the wire, exercising the full middleware stack.
@@ -90,9 +89,6 @@ const (
 	e15BatchWidth   = 16
 	e15UDPBatchRun  = 32
 	e15SmallPayload = 64
-	// e15Windows is how many timed windows each codec rate takes the
-	// median of.
-	e15Windows = 7
 )
 
 // e15Frame builds the canonical test frame for one payload size.
@@ -246,10 +242,7 @@ func e15BatchPoint() E15CodecPoint {
 
 // e15Measure returns (allocs/frame, frames/s) for op, which processes
 // framesPerOp frames. Alloc counts come from testing.AllocsPerRun and are
-// exact for a deterministic op. The rate is the median of e15Windows
-// timed windows, each timed on the measuring thread's CPU clock where the
-// platform has one (threadCPU), so other processes sharing the host's
-// cores do not lower it; on an idle host it matches the wall-clock rate.
+// exact for a deterministic op; the rate is wall-clock.
 func e15Measure(op func(), framesPerOp int) (allocsPerFrame, framesPerSec float64) {
 	// Warm pools and intern tables out of the measurement.
 	for i := 0; i < 8; i++ {
@@ -258,27 +251,18 @@ func e15Measure(op func(), framesPerOp int) (allocsPerFrame, framesPerSec float6
 	runtime.GC()
 	allocs := testing.AllocsPerRun(200, op)
 
-	// The thread CPU clock only follows op while the goroutine stays on
-	// one OS thread.
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	const minOps, minDur = 2000, 20 * time.Millisecond
-	rates := make([]float64, e15Windows)
-	for w := range rates {
-		ops := 0
-		start := threadCPU()
-		elapsed := time.Duration(0)
-		for ops < minOps || elapsed < minDur {
-			for i := 0; i < 500; i++ {
-				op()
-			}
-			ops += 500
-			elapsed = threadCPU() - start
+	ops := 0
+	start := time.Now()
+	for elapsed := time.Duration(0); ops < minOps || elapsed < minDur; {
+		for i := 0; i < 500; i++ {
+			op()
 		}
-		rates[w] = float64(ops*framesPerOp) / elapsed.Seconds()
+		ops += 500
+		elapsed = time.Since(start)
 	}
-	sort.Float64s(rates)
-	return allocs / float64(framesPerOp), rates[len(rates)/2]
+	rate := float64(ops*framesPerOp) / time.Since(start).Seconds()
+	return allocs / float64(framesPerOp), rate
 }
 
 // e15Netsim publishes `samples` telemetry samples UAV→GS over a simulated
